@@ -88,46 +88,138 @@ type Options struct {
 // conflict.
 //
 // The relation's candidate keys are preserved; the extended relation is
-// named name. For repeated extensions with the same ILFD set (e.g.
-// per-insert incremental identification), build an Extender once.
+// named name. For repeated extensions with the same ILFD set and schema
+// (e.g. per-insert incremental identification), compile an Extender once.
 func Extend(rel *relation.Relation, name string, extra []schema.Attribute, fs ilfd.Set, opts Options) (*relation.Relation, []Conflict, error) {
 	return NewExtender(fs, opts).Extend(rel, name, extra)
 }
 
-// Extender applies a fixed ILFD set under fixed options, amortising the
-// discrimination-index construction across calls.
+// ExtendSchema returns sch with the extra attributes appended under the
+// new relation name — the schema of Extend's result. An extra
+// attribute the schema already declares is an error.
+func ExtendSchema(sch *schema.Schema, name string, extra []schema.Attribute) (*schema.Schema, error) {
+	for _, a := range extra {
+		if sch.Has(a.Name) {
+			return nil, fmt.Errorf("derive: relation %s already has attribute %q", sch.Name(), a.Name)
+		}
+	}
+	return sch.Extend(name, extra)
+}
+
+// Extender applies a fixed ILFD set under fixed options.
 type Extender struct {
 	fs   ilfd.Set
-	ix   *ilfdIndex
 	opts Options
 }
 
 // NewExtender prepares an extender for the ILFD set.
 func NewExtender(fs ilfd.Set, opts Options) *Extender {
-	return &Extender{fs: fs, ix: indexILFDs(fs), opts: opts}
+	return &Extender{fs: fs, opts: opts}
 }
 
-// Extend is Extend with the extender's cached index.
+// Extend is Extend with the extender's ILFD set and options.
 func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.Attribute) (*relation.Relation, []Conflict, error) {
-	sch := rel.Schema()
-	for _, a := range extra {
-		if sch.Has(a.Name) {
-			return nil, nil, fmt.Errorf("derive: relation %s already has attribute %q", sch.Name(), a.Name)
-		}
-	}
-	extSch, err := sch.Extend(name, extra)
+	extSch, err := ExtendSchema(rel.Schema(), name, extra)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := relation.New(extSch)
+	return e.Compile(extSch).Extend(rel)
+}
+
+// Compiled is an Extender resolved against one extended schema: every
+// ILFD's antecedent and consequent conditions are column offsets, and
+// the discrimination index is keyed by (column, value). Derivation then
+// indexes raw tuples and builds no strings. It is immutable, so one
+// Compiled serves concurrent callers.
+type Compiled struct {
+	sch       *schema.Schema
+	mode      Mode
+	maxRounds int
+	rules     []compiledILFD
+	ix        ilfdIndex
+}
+
+// compiledILFD is one ILFD over column offsets. A condition on an
+// attribute the schema lacks has column -1: such an antecedent can
+// never hold (the rule is left out of the index), and such a
+// consequent is dropped.
+type compiledILFD struct {
+	ante []colVal
+	cons []consequent
+}
+
+// colVal is the condition "column col holds val".
+type colVal struct {
+	col int
+	val value.Value
+}
+
+// consequent is a derived value for column col; attr names the column
+// for conflict reports.
+type consequent struct {
+	col  int
+	attr string
+	val  value.Value
+}
+
+// Compile resolves the extender against the extended schema extSch.
+func (e *Extender) Compile(extSch *schema.Schema) *Compiled {
+	maxRounds := e.opts.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = len(e.fs) + 1
+	}
+	c := &Compiled{
+		sch:       extSch,
+		mode:      e.opts.Mode,
+		maxRounds: maxRounds,
+		rules:     make([]compiledILFD, len(e.fs)),
+		ix:        ilfdIndex{byCol: make([]map[value.Value][]int, extSch.Arity())},
+	}
+	for fi, f := range e.fs {
+		r := &c.rules[fi]
+		for _, cond := range f.Consequent {
+			if i := extSch.Index(cond.Attr); i >= 0 {
+				r.cons = append(r.cons, consequent{col: i, attr: cond.Attr, val: cond.Val})
+			}
+		}
+		if len(f.Antecedent) == 0 {
+			c.ix.always = append(c.ix.always, fi)
+			continue
+		}
+		holdable := true
+		for _, cond := range f.Antecedent {
+			i := extSch.Index(cond.Attr)
+			holdable = holdable && i >= 0
+			r.ante = append(r.ante, colVal{col: i, val: cond.Val})
+		}
+		if !holdable {
+			continue
+		}
+		min := f.Antecedent[0]
+		for _, cond := range f.Antecedent[1:] {
+			if cond.Key() < min.Key() {
+				min = cond
+			}
+		}
+		col := extSch.Index(min.Attr)
+		if c.ix.byCol[col] == nil {
+			c.ix.byCol[col] = make(map[value.Value][]int)
+		}
+		c.ix.byCol[col][min.Val] = append(c.ix.byCol[col][min.Val], fi)
+	}
+	return c
+}
+
+// Extend derives every tuple of rel, whose schema must be the prefix of
+// the compiled schema that ExtendSchema extended.
+func (c *Compiled) Extend(rel *relation.Relation) (*relation.Relation, []Conflict, error) {
+	out := relation.New(c.sch)
 	var conflicts []Conflict
 	for idx, t := range rel.Tuples() {
-		ext := make(relation.Tuple, extSch.Arity())
+		// The zero Value is NULL, so the fresh tuple is already padded.
+		ext := make(relation.Tuple, c.sch.Arity())
 		copy(ext, t)
-		for i := sch.Arity(); i < extSch.Arity(); i++ {
-			ext[i] = value.Null
-		}
-		rowConflicts, err := deriveTuple(out, ext, idx, e.fs, e.ix, e.opts)
+		rowConflicts, err := c.derive(ext, idx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -139,17 +231,26 @@ func (e *Extender) Extend(rel *relation.Relation, name string, extra []schema.At
 	return out, conflicts, nil
 }
 
-// ExtendTuple derives a single pre-padded tuple in place against the
-// extended schema extSch (the tuple must already have extSch's arity,
-// with NULLs in underived positions). It returns the conflicts found
-// (Fixpoint mode). This is the per-insert path of incremental
-// identification.
-func (e *Extender) ExtendTuple(extSch *schema.Schema, ext relation.Tuple) ([]Conflict, error) {
-	if len(ext) != extSch.Arity() {
-		return nil, fmt.Errorf("derive: tuple arity %d, schema wants %d", len(ext), extSch.Arity())
+// ExtendTuple derives a single pre-padded tuple in place (the tuple
+// must already have the compiled schema's arity, with NULLs in
+// underived positions) and checks the result against the schema as
+// Extend's insert does: a derived value of the wrong kind is an error.
+// It returns the conflicts found (Fixpoint mode). This is the
+// per-insert path of incremental identification.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (c *Compiled) ExtendTuple(ext relation.Tuple) ([]Conflict, error) {
+	if len(ext) != c.sch.Arity() {
+		return nil, fmt.Errorf("derive: tuple arity %d, schema wants %d", len(ext), c.sch.Arity())
 	}
-	scratch := relation.New(extSch)
-	return deriveTuple(scratch, ext, 0, e.fs, e.ix, e.opts)
+	conflicts, err := c.derive(ext, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := relation.CheckShape(c.sch, ext); err != nil {
+		return nil, fmt.Errorf("derive: %w", err)
+	}
+	return conflicts, nil
 }
 
 // ilfdIndex is a discrimination index over an ILFD set: rules grouped
@@ -161,151 +262,135 @@ func (e *Extender) ExtendTuple(extSch *schema.Schema, ext relation.Tuple) ([]Con
 // ilfd.New normalizes antecedents into sorted order, but ILFD values
 // can be constructed as raw literals, so the minimum is computed here
 // rather than assumed at position 0. Rules with empty antecedents are
-// always candidates.
+// always candidates. Conditions are keyed by column, then by value:
+// Value is comparable, and struct equality coincides with value.Equal
+// on the non-NULL values candidates looks up.
 type ilfdIndex struct {
-	byCond map[string][]int
+	byCol  []map[value.Value][]int
 	always []int
-}
-
-func indexILFDs(fs ilfd.Set) *ilfdIndex {
-	ix := &ilfdIndex{byCond: make(map[string][]int, len(fs))}
-	for i, f := range fs {
-		if len(f.Antecedent) == 0 {
-			ix.always = append(ix.always, i)
-			continue
-		}
-		k := f.Antecedent[0].Key()
-		for _, c := range f.Antecedent[1:] {
-			if ck := c.Key(); ck < k {
-				k = ck
-			}
-		}
-		ix.byCond[k] = append(ix.byCond[k], i)
-	}
-	return ix
 }
 
 // candidates returns, in ascending rule order, the indexes of rules
 // whose indexed (canonically smallest) antecedent condition holds in
 // ext (plus the empty-antecedent rules). scratch is reused across
 // calls.
-func (ix *ilfdIndex) candidates(rel *relation.Relation, ext relation.Tuple, scratch []int) []int {
-	out := scratch[:0]
-	out = append(out, ix.always...)
-	sch := rel.Schema()
-	for i, v := range ext {
-		if v.IsNull() {
-			continue
+func (ix *ilfdIndex) candidates(ext relation.Tuple, scratch []int) []int {
+	out := append(scratch[:0], ix.always...)
+	for i, m := range ix.byCol {
+		if m != nil && !ext[i].IsNull() {
+			out = append(out, m[ext[i]]...)
 		}
-		k := ilfd.Condition{Attr: sch.Attr(i).Name, Val: v}.Key()
-		out = append(out, ix.byCond[k]...)
 	}
 	sort.Ints(out)
 	return out
 }
 
-// deriveTuple fills derivable NULL attributes of ext in place. Only
-// rules surfaced by the discrimination index are examined each round,
-// and the pruned pass is exactly equivalent to an unindexed in-order
-// pass: when a firing changes ext, the candidate list is refreshed and
-// iteration resumes just past the fired rule, so rules a mid-round
-// derivation enables fire at the same position — and under the same
-// cut state — as they would without pruning. (Rules earlier than the
-// firing one wait for the next round in both disciplines: the pass
-// already moved past them.)
-func deriveTuple(rel *relation.Relation, ext relation.Tuple, idx int, fs ilfd.Set, ix *ilfdIndex, opts Options) ([]Conflict, error) {
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(fs) + 1
+// holds reports whether every antecedent condition of rule fi holds in
+// ext (matching-level equality: a NULL column satisfies nothing).
+func (c *Compiled) holds(fi int, ext relation.Tuple) bool {
+	for _, cv := range c.rules[fi].ante {
+		if cv.col < 0 || !value.Equal(ext[cv.col], cv.val) {
+			return false
+		}
+	}
+	return true
+}
+
+// derive fills derivable NULL attributes of ext in place. Only rules
+// surfaced by the discrimination index are examined each round, and the
+// pruned pass is exactly equivalent to an unindexed in-order pass: when
+// a firing changes ext, the candidate list is refreshed and iteration
+// resumes just past the fired rule, so rules a mid-round derivation
+// enables fire at the same position — and under the same cut state — as
+// they would without pruning. (Rules earlier than the firing one wait
+// for the next round in both disciplines: the pass already moved past
+// them.) Scratch state lives on the stack for ordinary arities.
+func (c *Compiled) derive(ext relation.Tuple, idx int) ([]Conflict, error) {
+	if c.mode != FirstMatch && c.mode != Fixpoint {
+		return nil, fmt.Errorf("derive: unknown mode %v", c.mode)
 	}
 	var conflicts []Conflict
-	var scratch []int
-	// runRound makes one in-order pass, applying fire(fi) to each
-	// candidate rule whose antecedent holds; a true return from fire
-	// means ext changed, triggering the refresh-and-resume.
-	runRound := func(fire func(fi int) bool) bool {
+	var candBuf [32]int
+	scratch := candBuf[:0]
+	// FirstMatch keeps a cut per column: once a rule has set an
+	// attribute, later rules never touch it. Chaining still happens
+	// across rounds because newly set attributes can satisfy other
+	// antecedents.
+	var cutBuf [32]bool
+	cut := cutBuf[:0]
+	if c.mode == FirstMatch {
+		if len(ext) <= len(cutBuf) {
+			cut = cutBuf[:len(ext)]
+		} else {
+			cut = make([]bool, len(ext))
+		}
+	}
+	for round := 0; round < c.maxRounds; round++ {
 		changed := false
-		scratch = ix.candidates(rel, ext, scratch)
+		scratch = c.ix.candidates(ext, scratch)
 		k := 0
 		for k < len(scratch) {
 			fi := scratch[k]
-			if fs[fi].Antecedent.HoldIn(rel, ext) && fire(fi) {
+			if c.holds(fi, ext) && c.fire(fi, ext, idx, cut, &conflicts) {
 				changed = true
-				scratch = ix.candidates(rel, ext, scratch)
+				scratch = c.ix.candidates(ext, scratch)
 				k = sort.SearchInts(scratch, fi+1)
 				continue
 			}
 			k++
 		}
-		return changed
-	}
-	switch opts.Mode {
-	case FirstMatch:
-		// A cut per (attribute): once a rule has set an attribute, later
-		// rules never touch it. Chaining still happens across rounds
-		// because newly set attributes can satisfy other antecedents.
-		cut := map[string]bool{}
-		fire := func(fi int) bool {
-			changed := false
-			for _, c := range fs[fi].Consequent {
-				i := rel.Schema().Index(c.Attr)
-				if i < 0 || cut[c.Attr] {
-					continue
-				}
-				if !ext[i].IsNull() {
-					// Source value present: the prototype's rule order
-					// places facts before ILFDs, so facts win; cut the
-					// attribute so no ILFD overrides it.
-					cut[c.Attr] = true
-					continue
-				}
-				ext[i] = c.Val
-				cut[c.Attr] = true
-				changed = true
-			}
-			return changed
+		if !changed {
+			break
 		}
-		for round := 0; round < maxRounds; round++ {
-			if !runRound(fire) {
-				break
-			}
-		}
-	case Fixpoint:
-		seen := map[string]bool{}
-		fire := func(fi int) bool {
-			changed := false
-			for _, c := range fs[fi].Consequent {
-				i := rel.Schema().Index(c.Attr)
-				if i < 0 {
-					continue
-				}
-				cur := ext[i]
-				if cur.IsNull() {
-					ext[i] = c.Val
-					changed = true
-					continue
-				}
-				if !value.Equal(cur, c.Val) {
-					k := c.Attr + "\x1f" + cur.Key() + "\x1f" + c.Val.Key()
-					if !seen[k] {
-						seen[k] = true
-						conflicts = append(conflicts, Conflict{
-							TupleIndex: idx, Attr: c.Attr, Old: cur, New: c.Val,
-						})
-					}
-				}
-			}
-			return changed
-		}
-		for round := 0; round < maxRounds; round++ {
-			if !runRound(fire) {
-				break
-			}
-		}
-	default:
-		return nil, fmt.Errorf("derive: unknown mode %v", opts.Mode)
 	}
 	return conflicts, nil
+}
+
+// fire applies rule fi's consequents to ext and reports whether ext
+// changed. FirstMatch honours and sets the cut; Fixpoint records each
+// distinct disagreement with an existing value as a conflict.
+func (c *Compiled) fire(fi int, ext relation.Tuple, idx int, cut []bool, conflicts *[]Conflict) bool {
+	changed := false
+	for _, cs := range c.rules[fi].cons {
+		i := cs.col
+		switch c.mode {
+		case FirstMatch:
+			if cut[i] {
+				continue
+			}
+			// A present source value wins too: the prototype's rule order
+			// places facts before ILFDs, so the attribute is cut either way.
+			cut[i] = true
+			if ext[i].IsNull() {
+				ext[i] = cs.val
+				changed = true
+			}
+		case Fixpoint:
+			cur := ext[i]
+			if cur.IsNull() {
+				ext[i] = cs.val
+				changed = true
+				continue
+			}
+			if !value.Equal(cur, cs.val) && !reported(*conflicts, cs.attr, cur, cs.val) {
+				*conflicts = append(*conflicts, Conflict{
+					TupleIndex: idx, Attr: cs.attr, Old: cur, New: cs.val,
+				})
+			}
+		}
+	}
+	return changed
+}
+
+// reported reports whether this tuple's conflicts already hold the
+// disagreement (attr, old, new), compared by value key.
+func reported(conflicts []Conflict, attr string, old, new value.Value) bool {
+	for _, cf := range conflicts {
+		if cf.Attr == attr && cf.Old.Key() == old.Key() && cf.New.Key() == new.Key() {
+			return true
+		}
+	}
+	return false
 }
 
 // Derivable returns, for each attribute name, whether some ILFD in fs

@@ -154,13 +154,14 @@ func TestExtenderMatchesExtend(t *testing.T) {
 		}
 		// Per-tuple path.
 		extSch := cached.Schema()
+		compiled := ext.Compile(extSch)
 		for i, base := range r.Tuples() {
 			tup := make(relation.Tuple, extSch.Arity())
 			copy(tup, base)
 			for j := len(base); j < extSch.Arity(); j++ {
 				tup[j] = value.Null
 			}
-			if _, err := ext.ExtendTuple(extSch, tup); err != nil {
+			if _, err := compiled.ExtendTuple(tup); err != nil {
 				t.Fatal(err)
 			}
 			if !tup.Identical(cached.Tuple(i)) {
@@ -172,9 +173,8 @@ func TestExtenderMatchesExtend(t *testing.T) {
 }
 
 func TestExtendTupleArityCheck(t *testing.T) {
-	ext := NewExtender(nil, Options{})
 	sch := schema.MustNew("T", []schema.Attribute{{Name: "a", Kind: value.KindString}})
-	if _, err := ext.ExtendTuple(sch, relation.Tuple{}); err == nil {
+	if _, err := NewExtender(nil, Options{}).Compile(sch).ExtendTuple(relation.Tuple{}); err == nil {
 		t.Error("wrong arity accepted")
 	}
 }
@@ -213,19 +213,18 @@ func TestIndexedCandidatesMatchUnindexed(t *testing.T) {
 		})
 
 		// Candidate sets: the index vs a brute-force reference.
-		ix := indexILFDs(scrambled)
 		extSch, err := r.Schema().Extend("T'", extra)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch := relation.New(extSch)
+		compiled := NewExtender(scrambled, Options{}).Compile(extSch)
 		for ti := 0; ti < r.Len(); ti++ {
 			ext := make(relation.Tuple, extSch.Arity())
 			copy(ext, r.Tuple(ti))
 			for i := r.Schema().Arity(); i < extSch.Arity(); i++ {
 				ext[i] = value.Null
 			}
-			got := ix.candidates(scratch, ext, nil)
+			got := compiled.ix.candidates(ext, nil)
 			var want []int
 			for fi, f := range scrambled {
 				if len(f.Antecedent) == 0 {
@@ -249,18 +248,18 @@ func TestIndexedCandidatesMatchUnindexed(t *testing.T) {
 		}
 
 		// End-to-end: pruned and unpruned derivation agree bit-for-bit.
-		unpruned := &ilfdIndex{}
-		for fi := range scrambled {
-			unpruned.always = append(unpruned.always, fi)
-		}
 		for _, mode := range []Mode{FirstMatch, Fixpoint} {
 			e := NewExtender(scrambled, Options{Mode: mode})
 			indexed, _, err := e.Extend(r, "T'", extra)
 			if err != nil {
 				t.Fatalf("trial %d mode %v indexed: %v", trial, mode, err)
 			}
-			ref := &Extender{fs: scrambled, ix: unpruned, opts: Options{Mode: mode}}
-			plain, _, err := ref.Extend(r, "T'", extra)
+			ref := e.Compile(extSch)
+			ref.ix = ilfdIndex{}
+			for fi := range scrambled {
+				ref.ix.always = append(ref.ix.always, fi)
+			}
+			plain, _, err := ref.Extend(r)
 			if err != nil {
 				t.Fatalf("trial %d mode %v unindexed: %v", trial, mode, err)
 			}

@@ -24,11 +24,18 @@
 //   - Integrated / Result: the current integrated view for query
 //     processing.
 //
-// Incremental identification probes both sources of matching pairs the
-// batch construction uses: the extended-key index and, per extra
-// identity rule, the same hash blocks the engine's blocked join buckets
-// by (rules without a usable equality predicate scan the opposite
-// side, mirroring the engine's nested-loop fallback).
+// Each side of the pair is compiled once per rebuild (the batch
+// Result's match.SideExtender plus the key offsets and indexes below),
+// so an insert identifies its one tuple the way §4.2 describes, with no
+// per-insert relation or schema: the tuple is copied into a fresh
+// NULL-padded tuple of the extended schema, its missing attributes are
+// derived in place, and its projections are encoded into a stack
+// scratch buffer for the probes. Incremental identification probes
+// both sources of matching pairs the batch construction uses: the
+// extended-key index and, per extra identity rule, the same hash
+// blocks the engine's blocked join buckets by (rules without a usable
+// equality predicate scan the opposite side, mirroring the engine's
+// nested-loop fallback).
 //
 // Equivalence with batch identification (match.Build on the final
 // relations) is the package's central invariant, pinned by tests.
@@ -49,18 +56,9 @@ import (
 type Federation struct {
 	cfg match.Config
 	res *match.Result
-	// rExt / sExt are the cached per-side rename+derive pipelines, so a
-	// single insert pays only the per-tuple derivation, not pipeline
-	// setup.
-	rExt, sExt *match.SideExtender
-	// extKeyIdx indexes each side's extended relation by its non-NULL
-	// extended-key projection: projection -> tuple positions.
-	rIdx, sIdx map[string][]int
-	// rKeyPos / sKeyPos are the extended-key column offsets in each
-	// side's extended schema, resolved once per rebuild so per-insert key
-	// projection indexes raw tuples instead of calling Schema().Index per
-	// attribute.
-	rKeyPos, sKeyPos []int
+	// r / s are the two sides compiled once per rebuild for per-tuple
+	// inserts.
+	r, s side
 	// idRules holds the incremental evaluation state of the extra
 	// identity rules: compiled forms plus the blocked-join hash buckets
 	// over both extended relations, maintained across inserts.
@@ -71,6 +69,36 @@ type Federation struct {
 	// gen counts state mutations (commits and rebuilds); a Pending
 	// prepared at one generation refuses to commit at another.
 	gen uint64
+}
+
+// side is one side of the pair compiled for per-tuple inserts.
+type side struct {
+	// ext is the Result's compiled extender of this side: it turns a
+	// source tuple into a tuple of the extended relation's layout.
+	ext *match.SideExtender
+	// keyPos are the extended-key column offsets in the extended schema.
+	keyPos []int
+	// idx indexes the extended relation by its non-NULL extended-key
+	// projection: projection -> tuple positions.
+	idx map[string][]int
+}
+
+// newSide compiles one side of a fresh batch result.
+func newSide(res *match.Result, left bool) side {
+	rel := res.SPrime
+	if left {
+		rel = res.RPrime
+	}
+	keyPos := keyOffsets(rel, res.ExtKey())
+	return side{ext: res.Side(left), keyPos: keyPos, idx: indexByKey(rel, keyPos)}
+}
+
+// sides returns the inserting side and the opposite one.
+func (f *Federation) sides(left bool) (own, opp *side) {
+	if left {
+		return &f.r, &f.s
+	}
+	return &f.s, &f.r
 }
 
 // idRuleState is one extra identity rule prepared for incremental
@@ -92,6 +120,14 @@ type idRuleState struct {
 	// fwd / rev are the rule compiled in both orientations
 	// (e1 ← R′, e2 ← S′ and the reverse).
 	fwd, rev rules.CompiledIdentityRule
+}
+
+// blocks returns the equality offsets and hash blocks of one side.
+func (st *idRuleState) blocks(left bool) ([]int, map[string][]int) {
+	if left {
+		return st.rPos, st.rBlocks
+	}
+	return st.sPos, st.sBlocks
 }
 
 // New builds the initial state from a configuration; the initial
@@ -117,12 +153,8 @@ func (f *Federation) rebuild() error {
 		return fmt.Errorf("federate: %w", err)
 	}
 	f.res = res
-	f.rExt = match.NewSideExtender(f.cfg, true)
-	f.sExt = match.NewSideExtender(f.cfg, false)
-	f.rKeyPos = keyOffsets(res.RPrime, res.ExtKey())
-	f.sKeyPos = keyOffsets(res.SPrime, res.ExtKey())
-	f.rIdx = indexByKey(res.RPrime, f.rKeyPos)
-	f.sIdx = indexByKey(res.SPrime, f.sKeyPos)
+	f.r = newSide(res, true)
+	f.s = newSide(res, false)
 	f.idRules = buildIDRules(f.cfg.Identity, res.RPrime, res.SPrime)
 	f.matchedR = make(map[int]int, res.MT.Len())
 	f.matchedS = make(map[int]int, res.MT.Len())
@@ -166,18 +198,8 @@ func buildIDRules(identity []rules.IdentityRule, rp, sp *relation.Relation) []id
 				st.rPos[i] = rs.Index(a)
 				st.sPos[i] = ss.Index(a)
 			}
-			st.rBlocks = make(map[string][]int)
-			st.sBlocks = make(map[string][]int)
-			for i, t := range rp.Tuples() {
-				if k, ok := match.ProjectionKey(t, st.rPos); ok {
-					st.rBlocks[k] = append(st.rBlocks[k], i)
-				}
-			}
-			for j, t := range sp.Tuples() {
-				if k, ok := match.ProjectionKey(t, st.sPos); ok {
-					st.sBlocks[k] = append(st.sBlocks[k], j)
-				}
-			}
+			st.rBlocks = indexByKey(rp, st.rPos)
+			st.sBlocks = indexByKey(sp, st.sPos)
 		}
 		states[n] = st
 	}
@@ -194,9 +216,10 @@ func keyOffsets(rel *relation.Relation, extKey []string) []int {
 	return pos
 }
 
-// indexByKey builds the probe index with match.ProjectionKey — the
-// same encoding the batch join buckets by, so incremental probes and
-// batch construction can never disagree on key equality.
+// indexByKey buckets a relation's tuple positions by their non-NULL
+// projection onto pos, encoded by match.ProjectionKey — the encoding
+// the batch join buckets by and prepare probes with, so incremental
+// probes and batch construction can never disagree on key equality.
 func indexByKey(rel *relation.Relation, keyPos []int) map[string][]int {
 	idx := make(map[string][]int, rel.Len())
 	for i, t := range rel.Tuples() {
@@ -251,6 +274,13 @@ type Pending struct {
 	left bool
 	src  relation.Tuple
 	ext  relation.Tuple
+	// key is ext's extended-key projection and blockKeys[i] its
+	// projection onto identity rule i's equality attributes: the keys
+	// the prepare probed with, which Commit indexes ext under. "" marks
+	// a projection Commit does not index (a NULL in it, or a rule
+	// without blocks); an encoded projection is never empty.
+	key       string
+	blockKeys []string
 	// pairs are the matching pairs the commit will add; the new tuple's
 	// index is its side's pre-commit length. atGen is the federation
 	// generation the prepare ran against.
@@ -262,11 +292,15 @@ type Pending struct {
 // PrepareR validates and identifies a tuple destined for relation R
 // without mutating the federation. The returned Pending reports the
 // pairs the insert will produce and commits the insert on demand.
+//
+//entitylint:hotpath noio,nolock,noobs
 func (f *Federation) PrepareR(t relation.Tuple) (*Pending, error) {
 	return f.prepare(t, true)
 }
 
 // PrepareS is PrepareR for relation S.
+//
+//entitylint:hotpath noio,nolock,noobs
 func (f *Federation) PrepareS(t relation.Tuple) (*Pending, error) {
 	return f.prepare(t, false)
 }
@@ -280,6 +314,14 @@ func (p *Pending) Pairs() []match.Pair {
 // Left reports which side the pending insert targets.
 func (p *Pending) Left() bool { return p.left }
 
+// prepare identifies one tuple the way the paper does (§4.2): copy it
+// into a fresh NULL-padded tuple of the extended schema, derive the
+// missing attributes in place, then probe the opposite side's
+// extended-key index and identity-rule blocks. Every probe key is
+// encoded into one stack scratch buffer, and m[string(buf)] lookups do
+// not allocate; only the keys Commit will index are kept as strings.
+//
+//entitylint:hotpath noio,nolock,noobs
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 	base := f.cfg.S
 	if left {
@@ -289,131 +331,122 @@ func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 	if err := base.CanInsert(t); err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
-	// Extend the single new tuple: run derivation on a one-tuple
-	// relation with the same schema.
-	oneTuple := relation.New(base.Schema())
-	if err := oneTuple.Insert(t.Clone()); err != nil {
-		return nil, fmt.Errorf("federate: %w", err)
-	}
-	ext, err := f.extendOne(oneTuple, left)
+	own, opp := f.sides(left)
+	// Fixpoint conflicts are not rejections here, as in batch Build.
+	ext, _, err := own.ext.ExtendTuple(t)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("federate: extend: %w", err)
 	}
-	extTuple := ext.Tuple(0)
+	p := &Pending{f: f, left: left, src: t, ext: ext, atGen: f.gen}
 
-	// Probe the opposite side's extended-key index. The one-tuple
-	// extended relation shares its side's schema layout (same rename +
-	// extend pipeline), so the cached key offsets apply.
-	keyPos := f.sKeyPos
-	if left {
-		keyPos = f.rKeyPos
-	}
-	var partners []int
-	seen := map[int]bool{}
-	if k, ok := match.ProjectionKey(extTuple, keyPos); ok {
-		var hits []int
-		if left {
-			hits = f.sIdx[k]
-		} else {
-			hits = f.rIdx[k]
+	var kb [128]byte
+	var pb [4]int
+	partners := pb[:0]
+	if b, ok := relation.AppendProjection(kb[:0], ext, own.keyPos); ok {
+		for _, j := range opp.idx[string(b)] {
+			partners = addPartner(partners, j)
 		}
-		for _, j := range hits {
-			if !seen[j] {
-				seen[j] = true
-				partners = append(partners, j)
-			}
-		}
+		p.key = string(b)
 	}
 	// Probe the identity-rule hash blocks too: a tuple that matches
 	// solely via an extra identity rule must be caught on insert, or the
 	// batch ≡ incremental invariant breaks.
-	for _, j := range f.identityPartners(extTuple, left) {
-		if !seen[j] {
-			seen[j] = true
-			partners = append(partners, j)
-		}
-	}
+	partners = f.identityPartners(p, kb[:0], partners)
 	if len(partners) > 1 {
 		return nil, fmt.Errorf("federate: insert would match %d tuples at once (unsound)", len(partners))
 	}
-	var newPairs []match.Pair
 	for _, j := range partners {
+		var pr match.Pair
 		if left {
 			if prev, taken := f.matchedS[j]; taken {
 				return nil, fmt.Errorf("federate: uniqueness violation: S tuple %d already matched to R tuple %d", j, prev)
 			}
-			newPairs = append(newPairs, match.Pair{RIndex: f.res.RPrime.Len(), SIndex: j})
+			pr = match.Pair{RIndex: f.res.RPrime.Len(), SIndex: j}
 		} else {
 			if prev, taken := f.matchedR[j]; taken {
 				return nil, fmt.Errorf("federate: uniqueness violation: R tuple %d already matched to S tuple %d", j, prev)
 			}
-			newPairs = append(newPairs, match.Pair{RIndex: j, SIndex: f.res.SPrime.Len()})
+			pr = match.Pair{RIndex: j, SIndex: f.res.SPrime.Len()}
 		}
-	}
-	// Consistency guard: a new pair must not be declared distinct. The
-	// result's compiled distinctness rules are reused — the candidate
-	// tuple has R′/S′ layout, which is all compiled evaluation needs.
-	for _, p := range newPairs {
-		var rt, st relation.Tuple
-		if left {
-			rt, st = extTuple, f.res.SPrime.Tuple(p.SIndex)
-		} else {
-			rt, st = f.res.RPrime.Tuple(p.RIndex), extTuple
-		}
+		// Consistency guard: a new pair must not be declared distinct.
+		// The result's compiled distinctness rules are reused — the
+		// candidate tuple has R′/S′ layout, which is all compiled
+		// evaluation needs.
+		rt, st := f.pairTuples(ext, j, left)
 		if name, fires := f.res.DistinctFires(rt, st); fires {
 			return nil, fmt.Errorf("federate: consistency violation: new tuple matches a pair distinctness rule %q forbids", name)
 		}
+		p.pairs = append(p.pairs, pr)
 	}
-	return &Pending{f: f, left: left, src: t, ext: extTuple, pairs: newPairs, atGen: f.gen}, nil
+	return p, nil
 }
 
-// identityPartners returns the opposite-side tuple positions some extra
-// identity rule pairs the candidate extended tuple with: hash-block
-// probing for rules with cross-equality attributes, a scan of the
-// opposite side for fallback rules.
-func (f *Federation) identityPartners(extTuple relation.Tuple, left bool) []int {
-	var out []int
+// addPartner appends opposite-side position j unless already present.
+func addPartner(partners []int, j int) []int {
+	for _, k := range partners {
+		if k == j {
+			return partners
+		}
+	}
+	return append(partners, j)
+}
+
+// pairTuples orders the candidate extended tuple and opposite-side
+// tuple j as (R′ tuple, S′ tuple).
+func (f *Federation) pairTuples(ext relation.Tuple, j int, left bool) (rt, st relation.Tuple) {
+	if left {
+		return ext, f.res.SPrime.Tuple(j)
+	}
+	return f.res.RPrime.Tuple(j), ext
+}
+
+// identityPartners appends to partners the opposite-side tuple
+// positions some extra identity rule pairs the pending tuple with:
+// hash-block probing for rules with cross-equality attributes, a scan
+// of the opposite side for fallback rules. It records in p the block
+// keys Commit indexes the tuple under; buf is probe scratch.
+func (f *Federation) identityPartners(p *Pending, buf []byte, partners []int) []int {
 	for i := range f.idRules {
 		st := &f.idRules[i]
 		if st.skip {
 			continue
 		}
-		holds := func(j int) bool {
-			var rt, stup relation.Tuple
-			if left {
-				rt, stup = extTuple, f.res.SPrime.Tuple(j)
-			} else {
-				rt, stup = f.res.RPrime.Tuple(j), extTuple
-			}
-			return st.fwd.Holds(rt, stup) || st.rev.Holds(stup, rt)
-		}
 		if st.fallback {
 			n := f.res.RPrime.Len()
-			if left {
+			if p.left {
 				n = f.res.SPrime.Len()
 			}
 			for j := 0; j < n; j++ {
-				if holds(j) {
-					out = append(out, j)
+				if f.identityHolds(st, p.ext, j, p.left) {
+					partners = addPartner(partners, j)
 				}
 			}
 			continue
 		}
-		pos, blocks := st.rPos, st.sBlocks
-		if !left {
-			pos, blocks = st.sPos, st.rBlocks
-		}
-		k, ok := match.ProjectionKey(extTuple, pos)
+		pos, _ := st.blocks(p.left)
+		_, opposite := st.blocks(!p.left)
+		b, ok := relation.AppendProjection(buf[:0], p.ext, pos)
 		if !ok {
 			continue
 		}
-		for _, j := range blocks[k] {
-			if holds(j) {
-				out = append(out, j)
+		for _, j := range opposite[string(b)] {
+			if f.identityHolds(st, p.ext, j, p.left) {
+				partners = addPartner(partners, j)
 			}
 		}
+		if p.blockKeys == nil {
+			p.blockKeys = make([]string, len(f.idRules))
+		}
+		p.blockKeys[i] = string(b)
 	}
-	return out
+	return partners
+}
+
+// identityHolds reports whether rule st pairs the candidate extended
+// tuple with opposite-side tuple j, in either orientation.
+func (f *Federation) identityHolds(st *idRuleState, ext relation.Tuple, j int, left bool) bool {
+	rt, stup := f.pairTuples(ext, j, left)
+	return st.fwd.Holds(rt, stup) || st.rev.Holds(stup, rt)
 }
 
 // Commit applies a prepared insert: base relation, extended relation,
@@ -427,10 +460,10 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	if p.done {
 		return nil, fmt.Errorf("federate: commit of an already committed insert")
 	}
-	side := f.res.SPrime
+	ext := f.res.SPrime
 	base := f.cfg.S
 	if p.left {
-		side = f.res.RPrime
+		ext = f.res.RPrime
 		base = f.cfg.R
 	}
 	if f.gen != p.atGen {
@@ -439,30 +472,18 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	if err := base.Insert(p.src); err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
-	if err := side.Insert(p.ext); err != nil {
+	if err := ext.Insert(p.ext); err != nil {
 		return nil, fmt.Errorf("federate: extended insert: %w", err)
 	}
 	p.done = true
-	pos := side.Len() - 1
-	if p.left {
-		if k, ok := match.ProjectionKey(p.ext, f.rKeyPos); ok {
-			f.rIdx[k] = append(f.rIdx[k], pos)
-		}
-	} else {
-		if k, ok := match.ProjectionKey(p.ext, f.sKeyPos); ok {
-			f.sIdx[k] = append(f.sIdx[k], pos)
-		}
+	pos := ext.Len() - 1
+	own, _ := f.sides(p.left)
+	if p.key != "" {
+		own.idx[p.key] = append(own.idx[p.key], pos)
 	}
-	for i := range f.idRules {
-		st := &f.idRules[i]
-		if st.skip || st.fallback {
-			continue
-		}
-		blockPos, blocks := st.sPos, st.sBlocks
-		if p.left {
-			blockPos, blocks = st.rPos, st.rBlocks
-		}
-		if k, ok := match.ProjectionKey(p.ext, blockPos); ok {
+	for i, k := range p.blockKeys {
+		if k != "" {
+			_, blocks := f.idRules[i].blocks(p.left)
 			blocks[k] = append(blocks[k], pos)
 		}
 	}
@@ -473,20 +494,6 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	}
 	f.gen++
 	return append([]match.Pair(nil), p.pairs...), nil
-}
-
-// extendOne runs the cached per-side rename + derivation pipeline on a
-// single-tuple relation.
-func (f *Federation) extendOne(one *relation.Relation, left bool) (*relation.Relation, error) {
-	se := f.sExt
-	if left {
-		se = f.rExt
-	}
-	ext, _, err := se.Extend(one)
-	if err != nil {
-		return nil, fmt.Errorf("federate: extend: %w", err)
-	}
-	return ext, nil
 }
 
 // AddILFD grows the knowledge base and rebuilds the state, asserting

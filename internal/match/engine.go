@@ -10,7 +10,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -84,21 +83,16 @@ func attrOffsets(rel *relation.Relation, attrs []string) ([]int, error) {
 // ⇒ Key(a) == Key(b) on every column, which value.Key guarantees (same
 // kind, same contents, float zeros collapsed); key-equal NaNs merely
 // over-generate candidates, which the full rule evaluation filters.
-// Exported so incremental maintenance (federate) probes with the exact
-// encoding the build-time join indexes by.
+// It is relation.AppendProjection's encoding, which incremental
+// maintenance (federate) probes with, so probes and the build-time
+// join indexes agree.
 func ProjectionKey(t relation.Tuple, idx []int) (string, bool) {
-	var b strings.Builder
-	for n, i := range idx {
-		v := t[i]
-		if v.IsNull() {
-			return "", false
-		}
-		if n > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.Key())
+	var kb [64]byte
+	b, ok := relation.AppendProjection(kb[:0], t, idx)
+	if !ok {
+		return "", false
 	}
-	return b.String(), true
+	return string(b), true
 }
 
 // blockedIdentityPairs evaluates the extra identity rules by hash-join

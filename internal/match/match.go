@@ -49,7 +49,6 @@ import (
 
 	"entityid/internal/derive"
 	"entityid/internal/ilfd"
-	"entityid/internal/ra"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
 	"entityid/internal/schema"
@@ -209,7 +208,10 @@ type Result struct {
 	Conflicts []derive.Conflict
 	// distinct holds the effective distinctness rules (user + Prop. 1).
 	distinct []rules.DistinctnessRule
-	extKey   []string
+	// rSide / sSide are the compiled extenders that produced RPrime and
+	// SPrime.
+	rSide, sSide *SideExtender
+	extKey       []string
 	// naive routes Classify/Counts/sweeps through the reference
 	// implementation (set from Config.Naive).
 	naive bool
@@ -261,11 +263,19 @@ func Build(cfg Config) (*Result, error) {
 		}
 	}
 
-	rPrime, rConf, err := extendSide(cfg.R, "R'", true, cfg)
+	rSide, err := newSideExtender(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sPrime, sConf, err := extendSide(cfg.S, "S'", false, cfg)
+	rPrime, rConf, err := rSide.ext.Extend(cfg.R)
+	if err != nil {
+		return nil, err
+	}
+	sSide, err := newSideExtender(cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	sPrime, sConf, err := sSide.ext.Extend(cfg.S)
 	if err != nil {
 		return nil, err
 	}
@@ -305,6 +315,8 @@ func Build(cfg Config) (*Result, error) {
 		// they reflect integrated names after renaming.
 		MT:        &Table{RKey: rPrime.Schema().PrimaryKey(), SKey: sPrime.Schema().PrimaryKey(), Pairs: pairs},
 		Conflicts: append(rConf, sConf...),
+		rSide:     rSide,
+		sSide:     sSide,
 		extKey:    append([]string(nil), cfg.ExtKey...),
 		naive:     cfg.Naive,
 	}
@@ -317,45 +329,53 @@ func Build(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// SideExtender is the reusable rename + derive pipeline for one side of
-// a configuration: it turns any relation with that side's schema into
-// its extended form. Build uses one per side; incremental maintenance
-// (the federate package) holds them across inserts to amortise the
-// derivation index.
+// SideExtender is one side of a configuration compiled for extension:
+// the extended schema R′ (or S′) — the source schema under integrated
+// names, then the integrated attributes the side is missing — and the
+// ILFD derivation resolved against it. Renaming changes only attribute
+// names, so a source tuple becomes an extended tuple by a copy into a
+// NULL-padded tuple of the extended arity plus in-place derivation.
+// Build extends whole relations through it; incremental maintenance
+// (the federate package) extends each inserted tuple through the
+// Result's extenders, compiled once per Build.
 type SideExtender struct {
-	name      string
-	renameMap map[string]string
-	extra     []schema.Attribute
-	ext       *derive.Extender
+	sch *schema.Schema
+	ext *derive.Compiled
 }
 
-// NewSideExtender prepares the pipeline for the left (R) or right (S)
-// side of cfg. It assumes cfg's attribute map was validated (Build does
-// so; external callers get errors surfaced on Extend).
-func NewSideExtender(cfg Config, left bool) *SideExtender {
-	se := &SideExtender{renameMap: map[string]string{}}
-	if left {
-		se.name = "R'"
-	} else {
-		se.name = "S'"
+// newSideExtender compiles the left (R) or right (S) side of cfg. It
+// assumes cfg's attribute map was validated (Build does so). It fails
+// when renaming or extending the source schema does.
+func newSideExtender(cfg Config, left bool) (*SideExtender, error) {
+	src, name := cfg.R.Schema(), "R'"
+	if !left {
+		src, name = cfg.S.Schema(), "S'"
 	}
+	renameMap := map[string]string{}
 	for _, am := range cfg.Attrs {
-		src := am.R
+		from := am.R
 		if !left {
-			src = am.S
+			from = am.S
 		}
-		if src != "" && src != am.Name {
-			se.renameMap[src] = am.Name
+		if from != "" && from != am.Name {
+			renameMap[from] = am.Name
+		}
+	}
+	renamed := src
+	if len(renameMap) > 0 {
+		var err error
+		if renamed, err = src.Rename(src.Name(), renameMap); err != nil {
+			return nil, fmt.Errorf("match: rename %s: %w", src.Name(), err)
 		}
 	}
 	// Attributes the side is missing: in the map but with empty source.
+	var extra []schema.Attribute
 	for _, am := range cfg.Attrs {
-		src := am.R
-		other := am.S
+		from, other := am.R, am.S
 		if !left {
-			src, other = am.S, am.R
+			from, other = am.S, am.R
 		}
-		if src != "" {
+		if from != "" {
 			continue
 		}
 		kind := value.KindString
@@ -368,32 +388,31 @@ func NewSideExtender(cfg Config, left bool) *SideExtender {
 		} else if k, ok := consequentKind(cfg.ILFDs, am.Name); ok {
 			kind = k
 		}
-		se.extra = append(se.extra, schema.Attribute{Name: am.Name, Kind: kind})
+		extra = append(extra, schema.Attribute{Name: am.Name, Kind: kind})
 	}
-	se.ext = derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode})
-	return se
+	sch, err := derive.ExtendSchema(renamed, name, extra)
+	if err != nil {
+		return nil, err
+	}
+	ext := derive.NewExtender(cfg.ILFDs, derive.Options{Mode: cfg.DeriveMode}).Compile(sch)
+	return &SideExtender{sch: sch, ext: ext}, nil
 }
 
-// Extend runs the pipeline over a relation with the side's source
-// schema.
-func (se *SideExtender) Extend(rel *relation.Relation) (*relation.Relation, []derive.Conflict, error) {
-	cur := rel
-	if len(se.renameMap) > 0 {
-		renamed, err := ra.Rename(rel, rel.Schema().Name(), se.renameMap)
-		if err != nil {
-			return nil, nil, fmt.Errorf("match: rename %s: %w", rel.Schema().Name(), err)
-		}
-		cur = renamed
+// ExtendTuple returns a source tuple (already valid for the side's
+// source relation) extended into a fresh tuple of the extended schema.
+// A derived value of the wrong kind for its attribute is an error, as
+// it is in Extend. Fixpoint conflicts are returned, not errors.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (se *SideExtender) ExtendTuple(t relation.Tuple) (relation.Tuple, []derive.Conflict, error) {
+	// The zero Value is NULL, so the fresh tuple is already padded.
+	ext := make(relation.Tuple, se.sch.Arity())
+	copy(ext, t)
+	conflicts, err := se.ext.ExtendTuple(ext)
+	if err != nil {
+		return nil, nil, err
 	}
-	return se.ext.Extend(cur, se.name, se.extra)
-}
-
-// extendSide renames a source relation's mapped attributes to integrated
-// names, then derives the missing integrated attributes.
-func extendSide(rel *relation.Relation, name string, left bool, cfg Config) (*relation.Relation, []derive.Conflict, error) {
-	se := NewSideExtender(cfg, left)
-	se.name = name
-	return se.Extend(rel)
+	return ext, conflicts, nil
 }
 
 // consequentKind infers an attribute's kind from ILFD consequents.
@@ -545,6 +564,15 @@ func (res *Result) UndeterminedPairs(limit int) []Pair {
 		return res.referenceSweep(Undetermined, limit)
 	}
 	return res.parallelSweep(Undetermined, limit)
+}
+
+// Side returns the compiled extender of the left (R) or right (S)
+// side: tuples it extends have RPrime's (or SPrime's) layout.
+func (res *Result) Side(left bool) *SideExtender {
+	if left {
+		return res.rSide
+	}
+	return res.sSide
 }
 
 // ExtKey returns the extended key attributes the result was built with.

@@ -107,22 +107,7 @@ func newLike(src *relation.Relation, sch *schema.Schema) *relation.Relation {
 // according to the mapping (attributes absent from the mapping keep their
 // names). Candidate keys are carried over under the new names.
 func Rename(r *relation.Relation, name string, mapping map[string]string) (*relation.Relation, error) {
-	old := r.Schema()
-	attrs := old.Attrs()
-	for i := range attrs {
-		if nn, ok := mapping[attrs[i].Name]; ok {
-			attrs[i].Name = nn
-		}
-	}
-	keys := old.Keys()
-	for _, k := range keys {
-		for i := range k {
-			if nn, ok := mapping[k[i]]; ok {
-				k[i] = nn
-			}
-		}
-	}
-	sch, err := schema.New(name, attrs, keys...)
+	sch, err := r.Schema().Rename(name, mapping)
 	if err != nil {
 		return nil, err
 	}

@@ -62,6 +62,9 @@ func (t Tuple) Identical(o Tuple) bool {
 type Relation struct {
 	schema *schema.Schema
 	tuples []Tuple
+	// keyPos holds each candidate key's column offsets, resolved once in
+	// New so inserts project keys by direct indexing.
+	keyPos [][]int
 	// keyIdx maps candidate-key ordinal -> key-projection string -> tuple
 	// position, for O(1) duplicate detection and key lookups.
 	keyIdx []map[string]int
@@ -71,10 +74,18 @@ type Relation struct {
 
 // New creates an empty relation with the given schema.
 func New(s *schema.Schema) *Relation {
-	r := &Relation{schema: s}
-	r.keyIdx = make([]map[string]int, len(s.Keys()))
-	for i := range r.keyIdx {
-		r.keyIdx[i] = make(map[string]int)
+	keys := s.Keys()
+	r := &Relation{
+		schema: s,
+		keyPos: make([][]int, len(keys)),
+		keyIdx: make([]map[string]int, len(keys)),
+	}
+	for ki, key := range keys {
+		r.keyPos[ki] = make([]int, len(key))
+		for n, a := range key {
+			r.keyPos[ki][n] = s.Index(a)
+		}
+		r.keyIdx[ki] = make(map[string]int)
 	}
 	return r
 }
@@ -126,57 +137,79 @@ func (r *Relation) MustValue(i int, attr string) value.Value {
 	return v
 }
 
-// keyProjection returns the encoded projection of t onto key, and whether
-// every key attribute is non-NULL (NULL-containing projections are not
-// indexed, mirroring SQL's treatment of NULLs in unique constraints and
-// the paper's extended relations).
-func (r *Relation) keyProjection(t Tuple, key []string) (string, bool) {
-	var b strings.Builder
-	for i, a := range key {
-		v := t[r.schema.Index(a)]
+// AppendProjection appends the key encoding of t's projection onto the
+// columns pos to b — each value's value.Key, separated by 0x1f — and
+// reports whether every projected value is non-NULL (NULL-containing
+// projections are not indexed, mirroring SQL's treatment of NULLs in
+// unique constraints and the paper's extended relations). Every
+// projection index in the module encodes through it, so probes and
+// indexes can never disagree on key equality.
+//
+//entitylint:hotpath nolock,noobs,noio
+func AppendProjection(b []byte, t Tuple, pos []int) ([]byte, bool) {
+	for n, i := range pos {
+		v := t[i]
 		if v.IsNull() {
-			return "", false
+			return b, false
 		}
-		if i > 0 {
-			b.WriteByte('\x1f')
+		if n > 0 {
+			b = append(b, '\x1f')
 		}
-		b.WriteString(v.Key())
+		b = v.AppendKey(b)
 	}
-	return b.String(), true
+	return b, true
 }
 
 // CanInsert reports whether Insert would accept the tuple, without
 // mutating the relation: it checks arity, value kinds and candidate
 // keys. Incremental pipelines use it as a cheap insertion guard.
+//
+//entitylint:hotpath nolock,noobs,noio
 func (r *Relation) CanInsert(t Tuple) error {
-	if err := r.checkShape(t); err != nil {
+	if err := CheckShape(r.schema, t); err != nil {
 		return err
 	}
-	for ki, key := range r.schema.Keys() {
-		proj, full := r.keyProjection(t, key)
+	return r.checkKeys(t)
+}
+
+// checkKeys reports a candidate-key violation (never for a bag). The
+// projections are encoded into a stack buffer; the map probes convert
+// it without allocating.
+func (r *Relation) checkKeys(t Tuple) error {
+	if r.bag {
+		return nil
+	}
+	var kb [64]byte
+	for ki, pos := range r.keyPos {
+		b, full := AppendProjection(kb[:0], t, pos)
 		if !full {
 			continue
 		}
-		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
+		if at, dup := r.keyIdx[ki][string(b)]; dup {
 			return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
-				r.schema.Name(), strings.Join(key, ","), t, at)
+				r.schema.Name(), strings.Join(r.schema.Keys()[ki], ","), t, at)
 		}
 	}
 	return nil
 }
 
-func (r *Relation) checkShape(t Tuple) error {
-	if len(t) != r.schema.Arity() {
+// CheckShape reports whether t fits schema s: its arity, and the kind
+// of every non-NULL value. Insert runs it on every tuple; per-tuple
+// pipelines that build a tuple for s run it on their own.
+//
+//entitylint:hotpath nolock,noobs,noio
+func CheckShape(s *schema.Schema, t Tuple) error {
+	if len(t) != s.Arity() {
 		return fmt.Errorf("relation %s: arity %d tuple, schema wants %d",
-			r.schema.Name(), len(t), r.schema.Arity())
+			s.Name(), len(t), s.Arity())
 	}
 	for i, v := range t {
 		if v.IsNull() {
 			continue
 		}
-		if want := r.schema.Attr(i).Kind; v.Kind() != want {
+		if want := s.Attr(i).Kind; v.Kind() != want {
 			return fmt.Errorf("relation %s: attribute %q: %s value, schema wants %s",
-				r.schema.Name(), r.schema.Attr(i).Name, v.Kind(), want)
+				s.Name(), s.Attr(i).Name, v.Kind(), want)
 		}
 	}
 	return nil
@@ -186,31 +219,23 @@ func (r *Relation) checkShape(t Tuple) error {
 // disagrees with the schema (NULL is allowed anywhere), or a candidate key
 // is violated.
 func (r *Relation) Insert(t Tuple) error {
-	if err := r.checkShape(t); err != nil {
+	if err := r.CanInsert(t); err != nil {
 		return err
 	}
-	keys := r.schema.Keys()
-	projs := make([]string, len(keys))
-	indexed := make([]bool, len(keys))
-	for ki, key := range keys {
-		proj, full := r.keyProjection(t, key)
-		if !full {
-			continue
-		}
-		if at, dup := r.keyIdx[ki][proj]; dup && !r.bag {
-			return fmt.Errorf("relation %s: key (%s) violation: tuple %v duplicates tuple %d",
-				r.schema.Name(), strings.Join(key, ","), t, at)
-		}
-		projs[ki], indexed[ki] = proj, true
-	}
-	pos := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
-	for ki := range keys {
-		if indexed[ki] {
-			r.keyIdx[ki][projs[ki]] = pos
+	r.index(t, len(r.tuples)-1)
+	return nil
+}
+
+// index records the tuple at position pos under each of its non-NULL
+// candidate-key projections.
+func (r *Relation) index(t Tuple, pos int) {
+	var kb [64]byte
+	for ki, kp := range r.keyPos {
+		if b, full := AppendProjection(kb[:0], t, kp); full {
+			r.keyIdx[ki][string(b)] = pos
 		}
 	}
-	return nil
 }
 
 // MustInsert is Insert that panics on error; for literals in tests and
@@ -245,21 +270,21 @@ func (r *Relation) InsertStrings(fields ...string) error {
 //
 //entitylint:hotpath nolock,noobs,noio
 func (r *Relation) LookupKey(keyVals ...value.Value) int {
-	key := r.schema.PrimaryKey()
-	if len(keyVals) != len(key) {
+	if len(keyVals) != len(r.keyPos[0]) {
 		return -1
 	}
-	var b strings.Builder
+	var kb [64]byte
+	b := kb[:0]
 	for i, v := range keyVals {
 		if v.IsNull() {
 			return -1
 		}
 		if i > 0 {
-			b.WriteByte('\x1f')
+			b = append(b, '\x1f')
 		}
-		b.WriteString(v.Key())
+		b = v.AppendKey(b)
 	}
-	if pos, ok := r.keyIdx[0][b.String()]; ok {
+	if pos, ok := r.keyIdx[0][string(b)]; ok {
 		return pos
 	}
 	return -1
@@ -345,16 +370,11 @@ func (r *Relation) Sort(attrs ...string) error {
 }
 
 func (r *Relation) reindex() {
-	keys := r.schema.Keys()
 	for ki := range r.keyIdx {
 		r.keyIdx[ki] = make(map[string]int)
 	}
 	for pos, t := range r.tuples {
-		for ki, key := range keys {
-			if proj, full := r.keyProjection(t, key); full {
-				r.keyIdx[ki][proj] = pos
-			}
-		}
+		r.index(t, pos)
 	}
 }
 

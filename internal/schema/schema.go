@@ -183,6 +183,28 @@ func (s *Schema) Extend(name string, extra []Attribute) (*Schema, error) {
 	return New(name, attrs, s.Keys()...)
 }
 
+// Rename returns the schema under a new relation name with attributes
+// renamed according to the mapping (attributes absent from the mapping
+// keep their names). Positions and kinds are unchanged, and candidate
+// keys are carried over under the new names.
+func (s *Schema) Rename(name string, mapping map[string]string) (*Schema, error) {
+	attrs := s.Attrs()
+	for i := range attrs {
+		if nn, ok := mapping[attrs[i].Name]; ok {
+			attrs[i].Name = nn
+		}
+	}
+	keys := s.Keys()
+	for _, k := range keys {
+		for i := range k {
+			if nn, ok := mapping[k[i]]; ok {
+				k[i] = nn
+			}
+		}
+	}
+	return New(name, attrs, keys...)
+}
+
 // Project returns a new schema containing only the named attributes, in
 // the given order, with the whole projection as its key (projection does
 // not in general preserve keys).

@@ -215,23 +215,36 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 // comparison semantics treat as one — the two float zeros — share a key, so
 // hash-based joins and key indexes agree with Equal/Identical.
 func (v Value) Key() string {
+	if v.kind == KindString {
+		return "s:" + v.s // one allocation, however long the string
+	}
+	var buf [32]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's encoding of v to b and returns the extended
+// buffer, so projections can be encoded into a reused scratch buffer
+// without building intermediate strings.
+//
+//entitylint:hotpath nolock,noobs,noio
+func (v Value) AppendKey(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(b, 0)
 	case KindString:
-		return "s:" + v.s
+		return append(append(b, "s:"...), v.s...)
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(b, "i:"...), v.i, 10)
 	case KindFloat:
 		f := v.f
 		if f == 0 {
 			f = 0 // collapse -0.0 onto +0.0: Identical(−0.0, +0.0) is true
 		}
-		return "f:" + strconv.FormatFloat(f, 'b', -1, 64)
+		return strconv.AppendFloat(append(b, "f:"...), f, 'b', -1, 64)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.b)
+		return strconv.AppendBool(append(b, "b:"...), v.b)
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

@@ -209,6 +209,20 @@ func TestKeyUniqueAcrossKinds(t *testing.T) {
 	}
 }
 
+// TestAppendKeyIsKey: AppendKey appends exactly Key's encoding, so
+// projections encoded into scratch buffers agree with Key-built ones.
+func TestAppendKeyIsKey(t *testing.T) {
+	vals := []Value{
+		Null, String(""), String("a long string past any small buffer size"),
+		Int(-42), Float(math.Copysign(0, -1)), Float(2.5), Bool(false),
+	}
+	for _, v := range vals {
+		if got := string(v.AppendKey([]byte("p|"))); got != "p|"+v.Key() {
+			t.Errorf("AppendKey(%v) = %q, want %q", v, got, "p|"+v.Key())
+		}
+	}
+}
+
 func TestKeyAgreesWithIdenticalQuick(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := Int(a), Int(b)
