@@ -364,9 +364,11 @@ func (sys *System) Federate() (*Federation, error) {
 	if len(sys.extKey) == 0 {
 		return nil, fmt.Errorf("entityid: call SetExtendedKey first")
 	}
+	// The federation borrows its base relations and InsertR/InsertS
+	// append to them, so it gets the one copy the doc promises.
 	inner, err := federate.New(match.Config{
-		R:            sys.r,
-		S:            sys.s,
+		R:            sys.r.Clone(),
+		S:            sys.s.Clone(),
 		Attrs:        sys.attrs,
 		ExtKey:       sys.extKey,
 		ILFDs:        sys.ilfds,

@@ -39,18 +39,25 @@ func New(limit int) *Gate {
 }
 
 // TryAcquire claims a slot without blocking. On false the request must
-// be shed; on true the caller must Release exactly once.
+// be shed; on true the caller must Release exactly once. The in-flight
+// count never exceeds the limit, not even transiently: a slot is
+// claimed by compare-and-swap only while one is free.
 func (g *Gate) TryAcquire() bool {
 	if g.limit <= 0 {
 		g.admitted.Add(1)
 		mAdmitted.Inc()
 		return true
 	}
-	if g.inflight.Add(1) > g.limit {
-		g.inflight.Add(-1)
-		g.shed.Add(1)
-		mShed.Inc()
-		return false
+	for {
+		n := g.inflight.Load()
+		if n >= g.limit {
+			g.shed.Add(1)
+			mShed.Inc()
+			return false
+		}
+		if g.inflight.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
 	g.admitted.Add(1)
 	mAdmitted.Inc()

@@ -24,6 +24,18 @@
 //   - Integrated / Result: the current integrated view for query
 //     processing.
 //
+// Ownership. A Federation borrows its base relations (Config.R and
+// Config.S) and never mutates them: it reads them only when it builds
+// its state — in New, Restore and AddILFD's rebuild — and owns only
+// what it derives from them: the extended relations R′/S′, their probe
+// indexes and the matching table. The relation's owner appends each
+// source tuple exactly once, after the pair has committed it: the hub
+// appends to its canonical relation after every linked pair commits;
+// InsertR / InsertS append to Config.R / Config.S themselves. Between a
+// Commit and the owner's append the base relation is one tuple short of
+// R′/S′; a rebuild in that window would lose the tuple, so owners
+// append before anything can rebuild.
+//
 // Each side of the pair is compiled once per rebuild (the batch
 // Result's match.SideExtender plus the key offsets and indexes below),
 // so an insert identifies its one tuple the way §4.2 describes, with no
@@ -50,6 +62,7 @@ import (
 	"entityid/internal/match"
 	"entityid/internal/relation"
 	"entityid/internal/rules"
+	"entityid/internal/schema"
 )
 
 // Federation is a live, incrementally maintained identification state.
@@ -63,9 +76,6 @@ type Federation struct {
 	// identity rules: compiled forms plus the blocked-join hash buckets
 	// over both extended relations, maintained across inserts.
 	idRules []idRuleState
-	// matchedR / matchedS track current pairings for uniqueness guards.
-	matchedR map[int]int
-	matchedS map[int]int
 	// gen counts state mutations (commits and rebuilds); a Pending
 	// prepared at one generation refuses to commit at another.
 	gen uint64
@@ -73,6 +83,12 @@ type Federation struct {
 
 // side is one side of the pair compiled for per-tuple inserts.
 type side struct {
+	// base is the borrowed base relation's schema: inserted tuples must
+	// fit it.
+	base *schema.Schema
+	// rel is the extended relation R′ or S′, which the federation owns.
+	// Its candidate keys are the base keys renamed at the same offsets.
+	rel *relation.Relation
 	// ext is the Result's compiled extender of this side: it turns a
 	// source tuple into a tuple of the extended relation's layout.
 	ext *match.SideExtender
@@ -83,14 +99,14 @@ type side struct {
 	idx map[string][]int
 }
 
-// newSide compiles one side of a fresh batch result.
-func newSide(res *match.Result, left bool) side {
+// newSide compiles one side of a fresh batch result over base.
+func newSide(res *match.Result, base *relation.Relation, left bool) side {
 	rel := res.SPrime
 	if left {
 		rel = res.RPrime
 	}
 	keyPos := keyOffsets(rel, res.ExtKey())
-	return side{ext: res.Side(left), keyPos: keyPos, idx: indexByKey(rel, keyPos)}
+	return side{base: base.Schema(), rel: rel, ext: res.Side(left), keyPos: keyPos, idx: indexByKey(rel, keyPos)}
 }
 
 // sides returns the inserting side and the opposite one.
@@ -131,11 +147,11 @@ func (st *idRuleState) blocks(left bool) ([]int, map[string][]int) {
 }
 
 // New builds the initial state from a configuration; the initial
-// matching table must verify (fail-closed like System.Identify).
+// matching table must verify (fail-closed like System.Identify). The
+// federation borrows cfg.R and cfg.S: it reads them here and on
+// AddILFD, never copies or mutates them, and relies on their owner to
+// append every committed tuple (see the package doc).
 func New(cfg match.Config) (*Federation, error) {
-	// Work on private copies: the federation owns its relations.
-	cfg.R = cfg.R.Clone()
-	cfg.S = cfg.S.Clone()
 	f := &Federation{cfg: cfg}
 	if err := f.rebuild(); err != nil {
 		return nil, err
@@ -153,15 +169,9 @@ func (f *Federation) rebuild() error {
 		return fmt.Errorf("federate: %w", err)
 	}
 	f.res = res
-	f.r = newSide(res, true)
-	f.s = newSide(res, false)
+	f.r = newSide(res, f.cfg.R, true)
+	f.s = newSide(res, f.cfg.S, false)
 	f.idRules = buildIDRules(f.cfg.Identity, res.RPrime, res.SPrime)
-	f.matchedR = make(map[int]int, res.MT.Len())
-	f.matchedS = make(map[int]int, res.MT.Len())
-	for _, p := range res.MT.Pairs {
-		f.matchedR[p.RIndex] = p.SIndex
-		f.matchedS[p.SIndex] = p.RIndex
-	}
 	f.gen++
 	return nil
 }
@@ -243,24 +253,42 @@ func (f *Federation) Integrated() (*integrate.Table, error) {
 
 // InsertR adds a tuple to relation R, identifies it incrementally, and
 // returns the pairs it produced (at most one, by uniqueness). The
-// insert is rejected — with the federation state unchanged — if it
-// would make the matching table unsound (uniqueness or consistency
-// violation) or violate R's candidate keys.
+// insert is rejected — with the federation state and R unchanged — if
+// it would make the matching table unsound (uniqueness or consistency
+// violation) or violate R′'s candidate keys, which are R's keys checked
+// after derivation. InsertR acts as R's owner: after the commit it
+// appends the tuple to Config.R, so the caller must not append it too.
 func (f *Federation) InsertR(t relation.Tuple) ([]match.Pair, error) {
-	p, err := f.prepare(t, true)
-	if err != nil {
-		return nil, err
-	}
-	return p.Commit()
+	return f.insert(t, true)
 }
 
 // InsertS is InsertR for relation S.
 func (f *Federation) InsertS(t relation.Tuple) ([]match.Pair, error) {
-	p, err := f.prepare(t, false)
+	return f.insert(t, false)
+}
+
+// insert is InsertR / InsertS: prepare, commit, then the owner's
+// append to the base relation.
+func (f *Federation) insert(t relation.Tuple, left bool) ([]match.Pair, error) {
+	p, err := f.prepare(t, left)
 	if err != nil {
 		return nil, err
 	}
-	return p.Commit()
+	pairs, err := p.Commit()
+	if err != nil {
+		return nil, err
+	}
+	base := f.cfg.S
+	if left {
+		base = f.cfg.R
+	}
+	// Cannot fail: prepare checked t's shape, and R′/S′'s keys hold
+	// every base key at the same offsets after derivation, which only
+	// fills NULLs.
+	if err := base.Insert(t); err != nil {
+		return nil, fmt.Errorf("federate: base insert after commit: %w", err)
+	}
+	return pairs, nil
 }
 
 // Pending is a prepared, not yet applied insert: the new tuple has been
@@ -272,7 +300,6 @@ func (f *Federation) InsertS(t relation.Tuple) ([]match.Pair, error) {
 type Pending struct {
 	f    *Federation
 	left bool
-	src  relation.Tuple
 	ext  relation.Tuple
 	// key is ext's extended-key projection and blockKeys[i] its
 	// projection onto identity rule i's equality attributes: the keys
@@ -323,21 +350,22 @@ func (p *Pending) Left() bool { return p.left }
 //
 //entitylint:hotpath noio,nolock,noobs
 func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
-	base := f.cfg.S
-	if left {
-		base = f.cfg.R
-	}
-	// Validate against the base schema and keys first, without mutating.
-	if err := base.CanInsert(t); err != nil {
+	own, opp := f.sides(left)
+	if err := relation.CheckShape(own.base, t); err != nil {
 		return nil, fmt.Errorf("federate: %w", err)
 	}
-	own, opp := f.sides(left)
 	// Fixpoint conflicts are not rejections here, as in batch Build.
 	ext, _, err := own.ext.ExtendTuple(t)
 	if err != nil {
 		return nil, fmt.Errorf("federate: extend: %w", err)
 	}
-	p := &Pending{f: f, left: left, src: t, ext: ext, atGen: f.gen}
+	// R′/S′'s candidate keys are the base keys, checked after derivation:
+	// a key column a rule derived a value into is enforced here exactly
+	// as batch Build enforces it, and no base-key violation gets past it.
+	if err := own.rel.CanInsert(ext); err != nil {
+		return nil, fmt.Errorf("federate: %w", err)
+	}
+	p := &Pending{f: f, left: left, ext: ext, atGen: f.gen}
 
 	var kb [128]byte
 	var pb [4]int
@@ -358,15 +386,15 @@ func (f *Federation) prepare(t relation.Tuple, left bool) (*Pending, error) {
 	for _, j := range partners {
 		var pr match.Pair
 		if left {
-			if prev, taken := f.matchedS[j]; taken {
-				return nil, fmt.Errorf("federate: uniqueness violation: S tuple %d already matched to R tuple %d", j, prev)
+			if prev := f.res.MT.MatchesOfS(j); len(prev) > 0 {
+				return nil, fmt.Errorf("federate: uniqueness violation: S tuple %d already matched to R tuple %d", j, prev[0])
 			}
-			pr = match.Pair{RIndex: f.res.RPrime.Len(), SIndex: j}
+			pr = match.Pair{RIndex: own.rel.Len(), SIndex: j}
 		} else {
-			if prev, taken := f.matchedR[j]; taken {
-				return nil, fmt.Errorf("federate: uniqueness violation: R tuple %d already matched to S tuple %d", j, prev)
+			if prev := f.res.MT.MatchesOfR(j); len(prev) > 0 {
+				return nil, fmt.Errorf("federate: uniqueness violation: R tuple %d already matched to S tuple %d", j, prev[0])
 			}
-			pr = match.Pair{RIndex: j, SIndex: f.res.SPrime.Len()}
+			pr = match.Pair{RIndex: j, SIndex: own.rel.Len()}
 		}
 		// Consistency guard: a new pair must not be declared distinct.
 		// The result's compiled distinctness rules are reused — the
@@ -412,11 +440,8 @@ func (f *Federation) identityPartners(p *Pending, buf []byte, partners []int) []
 			continue
 		}
 		if st.fallback {
-			n := f.res.RPrime.Len()
-			if p.left {
-				n = f.res.SPrime.Len()
-			}
-			for j := 0; j < n; j++ {
+			_, opp := f.sides(p.left)
+			for j := 0; j < opp.rel.Len(); j++ {
 				if f.identityHolds(st, p.ext, j, p.left) {
 					partners = addPartner(partners, j)
 				}
@@ -449,35 +474,28 @@ func (f *Federation) identityHolds(st *idRuleState, ext relation.Tuple, j int, l
 	return st.fwd.Holds(rt, stup) || st.rev.Holds(stup, rt)
 }
 
-// Commit applies a prepared insert: base relation, extended relation,
-// probe indexes, identity-rule blocks, matching pairs. It fails — with
-// the state untouched — only on a stale Pending (any federation
-// mutation since prepare: an insert on either side, or an AddILFD
-// rebuild) or a base-relation race; under the documented
-// serialise-per-federation discipline it cannot fail.
+// Commit applies a prepared insert to the pair's own state: extended
+// relation, probe indexes, identity-rule blocks, matching pairs. It
+// does not touch the base relation — appending the source tuple there
+// is its owner's job, once the commit succeeded (see the package doc).
+// It fails — with the state untouched — only on a stale Pending (any
+// federation mutation since prepare: an insert on either side, or an
+// AddILFD rebuild); under the documented serialise-per-federation
+// discipline it cannot fail.
 func (p *Pending) Commit() ([]match.Pair, error) {
 	f := p.f
 	if p.done {
 		return nil, fmt.Errorf("federate: commit of an already committed insert")
 	}
-	ext := f.res.SPrime
-	base := f.cfg.S
-	if p.left {
-		ext = f.res.RPrime
-		base = f.cfg.R
-	}
 	if f.gen != p.atGen {
 		return nil, fmt.Errorf("federate: stale prepared insert: federation mutated since prepare (generation %d, now %d)", p.atGen, f.gen)
 	}
-	if err := base.Insert(p.src); err != nil {
-		return nil, fmt.Errorf("federate: %w", err)
-	}
-	if err := ext.Insert(p.ext); err != nil {
+	own, _ := f.sides(p.left)
+	if err := own.rel.Insert(p.ext); err != nil {
 		return nil, fmt.Errorf("federate: extended insert: %w", err)
 	}
 	p.done = true
-	pos := ext.Len() - 1
-	own, _ := f.sides(p.left)
+	pos := own.rel.Len() - 1
 	if p.key != "" {
 		own.idx[p.key] = append(own.idx[p.key], pos)
 	}
@@ -489,8 +507,6 @@ func (p *Pending) Commit() ([]match.Pair, error) {
 	}
 	for _, pr := range p.pairs {
 		f.res.MT.Add(pr)
-		f.matchedR[pr.RIndex] = pr.SIndex
-		f.matchedS[pr.SIndex] = pr.RIndex
 	}
 	f.gen++
 	return append([]match.Pair(nil), p.pairs...), nil
@@ -516,7 +532,7 @@ func (f *Federation) AddILFD(fd ilfd.ILFD) error {
 		return err
 	}
 	for _, p := range prevPairs {
-		if _, ok := f.matchedR[p.RIndex]; !ok || f.matchedR[p.RIndex] != p.SIndex {
+		if !f.res.MT.Contains(p.RIndex, p.SIndex) {
 			err := fmt.Errorf("federate: ILFD %v breaks monotonicity: pair (%d,%d) lost", fd, p.RIndex, p.SIndex)
 			f.cfg.ILFDs = prev
 			if rerr := f.rebuild(); rerr != nil {
@@ -573,8 +589,8 @@ func SortPairs(ps []match.Pair) {
 func (f *Federation) Export() State {
 	return State{
 		Pairs: sortedPairs(f.res.MT.Pairs),
-		RLen:  f.cfg.R.Len(),
-		SLen:  f.cfg.S.Len(),
+		RLen:  f.r.rel.Len(),
+		SLen:  f.s.rel.Len(),
 	}
 }
 
@@ -588,8 +604,8 @@ func (f *Federation) Export() State {
 func (f *Federation) ExportOrdered() State {
 	return State{
 		Pairs: append([]match.Pair(nil), f.res.MT.Pairs...),
-		RLen:  f.cfg.R.Len(),
-		SLen:  f.cfg.S.Len(),
+		RLen:  f.r.rel.Len(),
+		SLen:  f.s.rel.Len(),
 	}
 }
 
@@ -606,10 +622,10 @@ func Restore(cfg match.Config, st State) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got, want := f.cfg.R.Len(), st.RLen; got != want {
+	if got, want := f.r.rel.Len(), st.RLen; got != want {
 		return nil, fmt.Errorf("federate: restore: R has %d tuples, state expects %d", got, want)
 	}
-	if got, want := f.cfg.S.Len(), st.SLen; got != want {
+	if got, want := f.s.rel.Len(), st.SLen; got != want {
 		return nil, fmt.Errorf("federate: restore: S has %d tuples, state expects %d", got, want)
 	}
 	got := sortedPairs(f.res.MT.Pairs)

@@ -359,6 +359,71 @@ func TestCommitFailsOnAnyInterveningMutation(t *testing.T) {
 	}
 }
 
+// TestFederationBorrowsBaseRelations pins the ownership contract: New,
+// PrepareR/PrepareS and Commit neither copy nor change the caller's
+// relations. Commits land in the pair's own R′/S′ only.
+func TestFederationBorrowsBaseRelations(t *testing.T) {
+	cfg := example3Config()
+	clone := func(rel *relation.Relation) []relation.Tuple {
+		out := make([]relation.Tuple, rel.Len())
+		for i, tup := range rel.Tuples() {
+			out[i] = tup.Clone()
+		}
+		return out
+	}
+	wantR, wantS := clone(cfg.R), clone(cfg.S)
+	unchanged := func(stage string) {
+		t.Helper()
+		for _, c := range []struct {
+			name string
+			rel  *relation.Relation
+			want []relation.Tuple
+		}{{"R", cfg.R, wantR}, {"S", cfg.S, wantS}} {
+			if c.rel.Len() != len(c.want) {
+				t.Fatalf("after %s: %s has %d tuples, want %d", stage, c.name, c.rel.Len(), len(c.want))
+			}
+			for i, tup := range c.want {
+				if !c.rel.Tuple(i).Identical(tup) {
+					t.Fatalf("after %s: %s tuple %d is %v, want %v", stage, c.name, i, c.rel.Tuple(i), tup)
+				}
+			}
+		}
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.cfg.R != cfg.R || f.cfg.S != cfg.S {
+		t.Fatal("New copied the base relations")
+	}
+	unchanged("New")
+	rt := relation.Tuple{s("NewPlace"), s("Elm St."), s("Greek")}
+	st := relation.Tuple{s("OtherPlace"), s("Gyros"), s("Hennepin")}
+	pr, err := f.PrepareR(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.PrepareS(st); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("PrepareR/PrepareS")
+	if _, err := pr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := f.PrepareS(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Commit")
+	if got := f.Export(); got.RLen != len(wantR)+1 || got.SLen != len(wantS)+1 {
+		t.Fatalf("commits did not land in R′/S′: export lengths (%d,%d), want (%d,%d)",
+			got.RLen, got.SLen, len(wantR)+1, len(wantS)+1)
+	}
+}
+
 func TestExportRestoreRoundTrip(t *testing.T) {
 	f, err := New(example3Config())
 	if err != nil {

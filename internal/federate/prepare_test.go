@@ -2,6 +2,7 @@ package federate
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,6 +91,55 @@ func TestPrepareRejectsDerivedValueOfWrongKind(t *testing.T) {
 	}
 	if _, err := f.InsertR(relation.Tuple{s("C"), s("thai")}); err != nil {
 		t.Fatalf("valid insert after the rejection: %v", err)
+	}
+}
+
+// TestPrepareRejectsDerivedKeyCollision: A(name, loc, kind) is keyed
+// by (name, loc), and the ILFD kind=x -> loc=here derives a value into
+// the key column loc. A second (n, NULL, x) passes A's own key check
+// (a NULL key projection is not indexed) but collides in R′ after
+// derivation. Prepare rejects it with the federation and A unchanged,
+// and batch Build over A holding both tuples fails the same way.
+func TestPrepareRejectsDerivedKeyCollision(t *testing.T) {
+	str := func(n string) schema.Attribute { return schema.Attribute{Name: n, Kind: value.KindString} }
+	a := relation.New(schema.MustNew("A", []schema.Attribute{str("name"), str("loc"), str("kind")}, []string{"name", "loc"}))
+	b := relation.New(schema.MustNew("B", []schema.Attribute{str("name"), str("loc")}, []string{"name"}))
+	b.MustInsert(s("m"), s("there"))
+	cfg := match.Config{
+		R: a, S: b,
+		Attrs: []match.AttrMap{
+			{Name: "name", R: "name", S: "name"},
+			{Name: "loc", R: "loc", S: "loc"},
+			{Name: "kind", R: "kind"},
+		},
+		ExtKey: []string{"name", "loc"},
+		ILFDs:  ilfd.Set{ilfd.MustNew(ilfd.Conditions{ilfd.C("kind", "x")}, ilfd.Conditions{ilfd.C("loc", "here")})},
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := relation.Tuple{s("n"), value.Null, s("x")}
+	if _, err := f.InsertR(tup.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CanInsert(tup); err != nil {
+		t.Fatalf("A's own key refuses the duplicate, so the test does not reach R′'s key: %v", err)
+	}
+	before, gen, aLen := f.ExportOrdered(), f.gen, a.Len()
+	const want = "key (name,loc) violation"
+	if _, err := f.PrepareR(tup.Clone()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("PrepareR of a derived key collision: %v, want %q", err, want)
+	}
+	if _, err := f.InsertR(tup.Clone()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("InsertR of a derived key collision: %v, want %q", err, want)
+	}
+	if after := f.ExportOrdered(); f.gen != gen || !reflect.DeepEqual(after, before) || a.Len() != aLen {
+		t.Fatalf("rejected insert changed the federation: %+v -> %+v (gen %d -> %d, |A| %d -> %d)",
+			before, after, gen, f.gen, aLen, a.Len())
+	}
+	if _, err := match.Build(withR(t, cfg, tup)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("batch Build over A holding both tuples: %v, want %q", err, want)
 	}
 }
 
@@ -198,19 +248,22 @@ func oraclePair(t *testing.T, w *datagen.MultiWorkload, i, j int, mode derive.Mo
 		if err != nil {
 			continue // a §3.2 rejection: the tuple is in neither side
 		}
-		pos := f.cfg.S.Len()
+		base := cfg.S
 		if it.left {
-			pos = f.cfg.R.Len()
+			base = cfg.R
 		}
-		prepared[it.left][pos] = p.ext
+		prepared[it.left][base.Len()] = p.ext
 		if _, err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// The test owns the base relations: it appends the committed
+		// tuple, as the hub does after every pair committed.
+		if err := base.Insert(it.t); err != nil {
 			t.Fatal(err)
 		}
 		accepted++
 	}
-	final := cfg
-	final.R, final.S = f.cfg.R, f.cfg.S
-	batch, err := match.Build(final)
+	batch, err := match.Build(cfg)
 	if err != nil {
 		t.Fatalf("pair %d-%d %v: batch Build: %v", i, j, mode, err)
 	}
@@ -254,7 +307,7 @@ func TestPrepareAllocs(t *testing.T) {
 	// an unmatched R′ tuple whose speciality an instance ILFD derived.
 	spec := f.res.RPrime.Schema().Index("speciality")
 	for i, rt := range f.res.RPrime.Tuples() {
-		if _, taken := f.matchedR[i]; taken || rt[spec].IsNull() {
+		if len(f.res.MT.MatchesOfR(i)) > 0 || rt[spec].IsNull() {
 			continue
 		}
 		st := relation.Tuple{rt[0], s("fresh city"), rt[spec], value.Null}

@@ -81,15 +81,20 @@ type PairSpec struct {
 }
 
 // sourceState is one registered source: the hub-owned canonical
-// relation plus the links that involve it.
+// relation plus the links that involve it. The canonical relation is
+// the one stored copy of the source's tuples: every pairwise federation
+// the source participates in borrows it as its base relation, reading
+// it only when the pair is built (Link, snapshot restore, page-in).
 type sourceState struct {
 	id   int
 	name string
 	//entitylint:published
 	rel *relation.Relation
 	// mu serialises inserts into this source, which keeps tuple
-	// positions identical across the canonical relation and every
-	// pairwise federation the source participates in.
+	// positions identical across the canonical relation and the
+	// extended relation of every pairwise federation the source
+	// participates in: each pair commits the tuple at the same position,
+	// then insert appends it to the canonical relation once.
 	//entitylint:lock rank=30
 	mu sync.Mutex
 	//entitylint:published
@@ -700,9 +705,10 @@ func (h *Hub) insert(source string, t relation.Tuple, payload []byte, op *obs.Op
 		}
 		src.pairs[i].mtLen += len(prs)
 	}
-	// The canonical insert and the view republication share the key
-	// lock, so a reader whose key lookup finds the new tuple always
-	// loads a view that covers it.
+	// The canonical insert is the source tuple's only append: the pairs
+	// committed just their own extended tuples. It shares the key lock
+	// with the view republication, so a reader whose key lookup finds
+	// the new tuple always loads a view that covers it.
 	src.keyMu.Lock()
 	insErr := src.rel.Insert(t)
 	if insErr == nil {

@@ -25,8 +25,11 @@ import (
 	"testing"
 
 	"entityid/internal/datagen"
+	"entityid/internal/ilfd"
 	"entityid/internal/match"
 	"entityid/internal/relation"
+	"entityid/internal/schema"
+	"entityid/internal/value"
 	"entityid/internal/wal"
 )
 
@@ -609,6 +612,72 @@ func TestRecoveryDegenerateWorkloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDerivedKeyCollisionRejectedNotPoisoned: source A(name, loc,
+// kind) is keyed by (name, loc) and its link to B derives loc from
+// kind=x. A second (n, NULL, x) passes A's canonical key check (NULL
+// key projections are not indexed) but collides in the pair's R′ after
+// derivation. It must be rejected before the write-ahead append, not
+// fail the pair commit after it: the hub stays Ready, keeps accepting
+// inserts, and reopens into the same state.
+func TestDerivedKeyCollisionRejectedNotPoisoned(t *testing.T) {
+	dir := t.TempDir()
+	h, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(n string) schema.Attribute { return schema.Attribute{Name: n, Kind: value.KindString} }
+	if err := h.AddSource("A", relation.New(schema.MustNew("A", []schema.Attribute{str("name"), str("loc"), str("kind")}, []string{"name", "loc"}))); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.AddSource("B", relation.New(schema.MustNew("B", []schema.Attribute{str("name"), str("loc")}, []string{"name"}))); err != nil {
+		t.Fatal(err)
+	}
+	err = h.Link(PairSpec{
+		Left: "A", Right: "B",
+		Attrs: []match.AttrMap{
+			{Name: "name", R: "name", S: "name"},
+			{Name: "loc", R: "loc", S: "loc"},
+			{Name: "kind", R: "kind"},
+		},
+		ExtKey: []string{"name", "loc"},
+		ILFDs:  ilfd.Set{ilfd.MustNew(ilfd.Conditions{ilfd.C("kind", "x")}, ilfd.Conditions{ilfd.C("loc", "here")})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := relation.Tuple{value.String("n"), value.Null, value.String("x")}
+	if _, err := h.Insert("A", tup.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.Insert("A", tup.Clone())
+	if err == nil || errors.Is(err, ErrPoisoned) || errors.Is(err, ErrDegraded) ||
+		!strings.Contains(err.Error(), "key (name,loc) violation") {
+		t.Fatalf("derived key collision: %v, want a key-violation rejection", err)
+	}
+	if got := h.Health().State; got != StateReady {
+		t.Fatalf("health after the rejection = %v, want ready", got)
+	}
+	if _, err := h.Insert("B", relation.Tuple{value.String("n"), value.String("here")}); err != nil {
+		t.Fatalf("insert after the rejection: %v", err)
+	}
+	if _, err := h.Insert("A", relation.Tuple{value.String("p"), value.Null, value.String("y")}); err != nil {
+		t.Fatalf("insert after the rejection: %v", err)
+	}
+	want := stateOf(h)
+	if n := len(want.rels["A"]); n != 2 {
+		t.Fatalf("A holds %d tuples, want 2", n)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer h2.Close()
+	mustEqualState(t, "reopened vs closed", stateOf(h2), want)
 }
 
 // TestRecoveryFailsClosedOnPartialRestore pins the snapshot↔WAL

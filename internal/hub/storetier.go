@@ -11,7 +11,10 @@
 // in first (insert takes the pair lock and calls pairFedLocked before
 // preparing). Page-in therefore always restores against exactly the
 // lengths federate.Restore verifies, and the rebuilt matching table is
-// re-verified pair by pair — a page-in is a free integrity check.
+// re-verified pair by pair — a page-in is a free integrity check. The
+// restored federation borrows the two canonical relations rather than
+// copying them, so a page-in allocates only the pair's own state: the
+// extended relations, their indexes and the matching table.
 //
 // Spill stores the matching table in COMMIT ORDER (ExportOrdered), not
 // sorted: snapshot cuts read "the first n commits" of a pair, and a
